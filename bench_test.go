@@ -1,8 +1,7 @@
 // Package repro's benchmark harness regenerates every figure and
-// quantitative claim in the paper (see DESIGN.md §3 for the index) and
-// reports the headline numbers as benchmark metrics. Each benchmark runs
-// a full simulated experiment per iteration — expect seconds per
-// iteration; Go's default -benchtime settles at N=1.
+// quantitative claim in the paper (see DESIGN.md §3 for the index):
+// BenchmarkExperiments runs each registered experiment per iteration —
+// expect seconds per iteration; Go's default -benchtime settles at N=1.
 //
 //	go test -bench=. -benchmem
 //
@@ -25,132 +24,18 @@ import (
 	"repro/internal/units"
 )
 
-func BenchmarkFig1ThroughputVsRTT(b *testing.B) {
-	var res *experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig1(experiments.Fig1Config{
-			RTTs:     []time.Duration{5 * time.Millisecond, 20 * time.Millisecond, 80 * time.Millisecond},
-			Duration: 6 * time.Second,
+// BenchmarkExperiments runs every registry entry at its default
+// options, one sub-benchmark per experiment:
+//
+//	go test -bench 'Experiments/fig3' -benchtime 1x
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Run(experiments.Options{})
+			}
 		})
 	}
-	last := res.Points[len(res.Points)-1]
-	b.ReportMetric(float64(last.LossFree)/1e9, "lossfree-80ms-Gbps")
-	b.ReportMetric(float64(last.Reno)/1e9, "reno-80ms-Gbps")
-	b.ReportMetric(float64(last.HTCP)/1e9, "htcp-80ms-Gbps")
-	b.ReportMetric(float64(last.Mathis)/1e9, "mathis-80ms-Gbps")
-}
-
-func BenchmarkFig2Dashboard(b *testing.B) {
-	var res *experiments.Fig2Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig2()
-	}
-	b.ReportMetric(float64(len(res.Alerts)), "alerts")
-}
-
-func BenchmarkFig3SimpleDMZ(b *testing.B) {
-	var res *experiments.Fig3Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig3()
-	}
-	b.ReportMetric(float64(res.CampusRate)/1e6, "campus-Mbps")
-	b.ReportMetric(float64(res.DMZRate)/1e9, "dmz-Gbps")
-	b.ReportMetric(res.Speedup(), "speedup-x")
-}
-
-func BenchmarkFig4Supercomputer(b *testing.B) {
-	var res *experiments.Fig4Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig4()
-	}
-	b.ReportMetric(float64(res.DTNRate)/1e9, "dtn-Gbps")
-	b.ReportMetric(float64(res.LoginRate)/1e6, "login-Mbps")
-}
-
-func BenchmarkFig5BigData(b *testing.B) {
-	var res *experiments.Fig5Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig5()
-	}
-	b.ReportMetric(res.AggregateGbps, "aggregate-Gbps")
-}
-
-func BenchmarkFig67ColoradoFanIn(b *testing.B) {
-	var res *experiments.Fig67Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig67()
-	}
-	b.ReportMetric(float64(res.BrokenPerHost)/1e6, "faulty-Mbps")
-	b.ReportMetric(float64(res.FixedPerHost)/1e6, "fixed-Mbps")
-}
-
-func BenchmarkFig8PennState(b *testing.B) {
-	var res *experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig8()
-	}
-	b.ReportMetric(float64(res.BrokenIn)/1e6, "seqcheck-Mbps")
-	b.ReportMetric(res.InFactor(), "inbound-fix-x")
-	b.ReportMetric(res.OutFactor(), "outbound-fix-x")
-}
-
-func BenchmarkLineCard(b *testing.B) {
-	var res *experiments.LineCardResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.LineCard()
-	}
-	b.ReportMetric(res.OwampLoss*100, "owamp-loss-pct")
-	b.ReportMetric(float64(res.CleanTCP)/1e9, "clean-Gbps")
-	b.ReportMetric(float64(res.FaultyTCP)/1e9, "faulty-Gbps")
-}
-
-func BenchmarkNOAA(b *testing.B) {
-	var res *experiments.NOAAResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.NOAA()
-	}
-	b.ReportMetric(float64(res.FTPRate)/8e6, "ftp-MBps")
-	b.ReportMetric(float64(res.DTNRate)/8e6, "dtn-MBps")
-	b.ReportMetric(res.Speedup(), "speedup-x")
-	b.ReportMetric(res.DatasetTime.Minutes(), "dataset-minutes")
-}
-
-func BenchmarkNERSC(b *testing.B) {
-	var res *experiments.NERSCResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.NERSC()
-	}
-	b.ReportMetric(float64(res.DTNRate)/8e6, "dtn-MBps")
-	b.ReportMetric(res.Legacy33GB.Hours(), "legacy-33GB-hours")
-	b.ReportMetric(res.DTN40TB.Hours()/24, "dtn-40TB-days")
-}
-
-func BenchmarkRoCE(b *testing.B) {
-	var res *experiments.RoCEResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RoCE()
-	}
-	b.ReportMetric(res.CircuitGbps, "circuit-Gbps")
-	b.ReportMetric(res.NoCircuitGbps, "nocircuit-Gbps")
-	b.ReportMetric(res.CPUFactor, "cpu-ratio-x")
-}
-
-func BenchmarkSDNBypass(b *testing.B) {
-	var res *experiments.SDNResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.SDNBypass()
-	}
-	b.ReportMetric(res.FirewalledGbps, "firewalled-Gbps")
-	b.ReportMetric(res.BypassGbps, "bypass-Gbps")
-}
-
-func BenchmarkAudit(b *testing.B) {
-	var res *experiments.AuditResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.AuditDesigns()
-	}
-	b.ReportMetric(float64(res.Rows[0].Critical), "campus-criticals")
-	b.ReportMetric(float64(res.Rows[1].Critical), "retrofit-criticals")
 }
 
 // --- ablations -----------------------------------------------------------

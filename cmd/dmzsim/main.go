@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -33,86 +32,16 @@ import (
 	"repro/internal/units"
 )
 
-// renderer is any experiment result.
-type renderer interface{ Render() string }
-
-// parallelWorkers is the -parallel flag value, read by experiments that
-// run on the sweep harness. Any value produces byte-identical output.
-var parallelWorkers int
-
-// cacheBudget / catalogPath are the -cache-budget / -catalog flag
-// values, read by the tier2 content-caching experiment.
-var (
-	cacheBudget int64
-	catalogPath string
-)
-
-// tier2Config assembles the content experiment from its flags.
-func tier2Config() experiments.Tier2Config {
-	cfg := experiments.Tier2Config{Budget: units.ByteSize(cacheBudget)}
-	if catalogPath != "" {
-		data, err := os.ReadFile(catalogPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-catalog:", err)
-			os.Exit(1)
-		}
-		cat, err := content.Parse(string(data))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-catalog:", err)
-			os.Exit(1)
-		}
-		cfg.Catalog = cat
+// loadCatalog parses the -catalog file, or returns nil when none is set.
+func loadCatalog(path string) (*content.Catalog, error) {
+	if path == "" {
+		return nil, nil
 	}
-	return cfg
-}
-
-var registry = map[string]func() renderer{
-	"tier2":    func() renderer { return experiments.Tier2(tier2Config()) },
-	"fig1":     func() renderer { return experiments.Fig1(experiments.Fig1Config{Parallel: parallelWorkers}) },
-	"fig2":     func() renderer { return experiments.Fig2() },
-	"fig3":     func() renderer { return experiments.Fig3() },
-	"fig4":     func() renderer { return experiments.Fig4() },
-	"fig5":     func() renderer { return experiments.Fig5() },
-	"fig67":    func() renderer { return experiments.Fig67() },
-	"fig8":     func() renderer { return experiments.Fig8() },
-	"linecard": func() renderer { return experiments.LineCard() },
-	"sawtooth": func() renderer {
-		return experiments.Sawtooth(20*time.Millisecond, 2*time.Second, 10*time.Second)
-	},
-	"noaa":      func() renderer { return experiments.NOAA() },
-	"nersc":     func() renderer { return experiments.NERSC() },
-	"roce":      func() renderer { return experiments.RoCE() },
-	"sdnbypass": func() renderer { return experiments.SDNBypass() },
-	"audit":     func() renderer { return experiments.AuditDesigns() },
-	"hybrid":    func() renderer { return experiments.Hybrid() },
-}
-
-var descriptions = map[string]string{
-	"fig1":      "Figure 1: TCP throughput vs RTT under loss (Mathis, Reno, H-TCP)",
-	"fig2":      "Figure 2: perfSONAR dashboard mesh with a soft-failing site",
-	"fig3":      "Figure 3: simple Science DMZ vs general-purpose campus path",
-	"fig4":      "Figure 4: supercomputer center DTN vs login-node ingestion",
-	"fig5":      "Figure 5: big-data site transfer cluster",
-	"fig67":     "§6.1/Figures 6-7: UC Boulder physics cluster fan-in",
-	"fig8":      "§6.2/Figure 8: Penn State firewall sequence checking",
-	"linecard":  "§2.1: failing line card invisible to SNMP, caught by OWAMP",
-	"sawtooth":  "§2.1 dynamics: cwnd sawtooth under periodic loss",
-	"noaa":      "§6.3: NOAA reforecast repatriation (FTP vs DTN)",
-	"nersc":     "§6.4: NERSC<->OLCF carbon-14 dataset",
-	"roce":      "§7.1: RoCE on virtual circuits, CPU comparison",
-	"sdnbypass": "§7.3: OpenFlow IDS-gated firewall bypass",
-	"audit":     "pattern audit across notional designs",
-	"hybrid":    "hybrid fluid/packet engine: validation + background scaling",
-	"tier2":     "Tier-2 dataset pulls: in-network content caching vs WAN egress",
-}
-
-func names() []string {
-	out := make([]string, 0, len(registry))
-	for k := range registry {
-		out = append(out, k)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(out)
-	return out
+	return content.Parse(string(data))
 }
 
 // setupTelemetry wires the --trace / --metrics / --serve / --trace-spans
@@ -266,7 +195,7 @@ func parseAxisValue(s string) (float64, error) {
 // runFaults handles -faults: a single scenario run, or — when
 // -fault-periods is set — a detection campaign sweeping BWCTL test
 // cadence (and optionally -fault-severities) on the parallel harness.
-func runFaults(path, periods, severities string) error {
+func runFaults(path, periods, severities string, parallel int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -286,7 +215,7 @@ func runFaults(path, periods, severities string) error {
 		fmt.Println(rep.Render())
 		return nil
 	}
-	cfg := fault.CampaignConfig{Base: sc, Parallel: parallelWorkers}
+	cfg := fault.CampaignConfig{Base: sc, Parallel: parallel}
 	for _, p := range strings.Split(periods, ",") {
 		d, err := time.ParseDuration(strings.TrimSpace(p))
 		if err != nil {
@@ -325,9 +254,9 @@ func main() {
 	faults := flag.String("faults", "", "run a fault-injection scenario from this JSON file")
 	faultPeriods := flag.String("fault-periods", "", "with -faults: comma-separated BWCTL test periods (e.g. 15s,30s,60s) to sweep as a detection campaign")
 	faultSevs := flag.String("fault-severities", "", "with -fault-periods: comma-separated loss severities for the campaign's second axis")
-	flag.IntVar(&parallelWorkers, "parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any value")
-	flag.Int64Var(&cacheBudget, "cache-budget", 0, "with -run tier2: absolute content-cache byte budget (0 = 10% of catalog bytes)")
-	flag.StringVar(&catalogPath, "catalog", "", "with -run tier2: dataset catalog file, one 'name bytes chunk-bytes' per line (default: synthetic 240 x 1 MB)")
+	parallel := flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any value")
+	cacheBudget := flag.Int64("cache-budget", 0, "with -run tier2: absolute content-cache byte budget (0 = 10% of catalog bytes)")
+	catalogPath := flag.String("catalog", "", "with -run tier2: dataset catalog file, one 'name bytes chunk-bytes' per line (default: synthetic 240 x 1 MB)")
 	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; results are byte-identical at any N)")
 	flag.Parse()
 
@@ -338,7 +267,7 @@ func main() {
 
 	switch {
 	case *faults != "":
-		if err := runFaults(*faults, *faultPeriods, *faultSevs); err != nil {
+		if err := runFaults(*faults, *faultPeriods, *faultSevs, *parallel); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -351,7 +280,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg.Parallel = parallelWorkers
+		cfg.Parallel = *parallel
 		res, err := experiments.RunSweep(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -359,21 +288,32 @@ func main() {
 		}
 		fmt.Println(res.Render())
 	case *list:
-		for _, name := range names() {
-			fmt.Printf("%-10s %s\n", name, descriptions[name])
-		}
-	case *run == "all":
-		for _, name := range names() {
-			fmt.Printf("=== %s ===\n", name)
-			fmt.Println(registry[name]().Render())
+		for _, e := range experiments.Registry {
+			fmt.Printf("%-10s %s\n", e.Name, e.Description)
 		}
 	case *run != "":
-		fn, ok := registry[*run]
-		if !ok {
+		var selected []experiments.Experiment
+		for _, e := range experiments.Registry {
+			if *run == "all" || *run == e.Name {
+				selected = append(selected, e)
+			}
+		}
+		if len(selected) == 0 {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *run)
 			os.Exit(2)
 		}
-		fmt.Println(fn().Render())
+		cat, err := loadCatalog(*catalogPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "-catalog:", err)
+			os.Exit(1)
+		}
+		opts := experiments.Options{Parallel: *parallel, CacheBudget: units.ByteSize(*cacheBudget), Catalog: cat}
+		for _, e := range selected {
+			if *run == "all" {
+				fmt.Printf("=== %s ===\n", e.Name)
+			}
+			fmt.Println(e.Run(opts).Render())
+		}
 	default:
 		flag.Usage()
 		os.Exit(2)

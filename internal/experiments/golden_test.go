@@ -11,7 +11,7 @@ import (
 // update rewrites the golden files under testdata/golden from the
 // current code:
 //
-//	go test ./internal/experiments -run Golden -update
+//	go test ./internal/experiments -run TestExperiments -update
 //
 // Goldens pin experiment output byte-for-byte: any drift in simulator
 // behaviour, seed derivation, or rendering shows up as a diff that must

@@ -81,8 +81,14 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Points == 0 {
 		cfg.Points = 5
 	}
+	if math.IsNaN(cfg.Min) || math.IsNaN(cfg.Max) || math.IsInf(cfg.Min, 0) || math.IsInf(cfg.Max, 0) {
+		return nil, fmt.Errorf("sweep: bounds must be finite, got [%g, %g]", cfg.Min, cfg.Max)
+	}
 	if cfg.Points < 1 || cfg.Min <= 0 || cfg.Max < cfg.Min {
 		return nil, fmt.Errorf("sweep: need 0 < min <= max and points >= 1, got [%g, %g] x%d", cfg.Min, cfg.Max, cfg.Points)
+	}
+	if cfg.Axis == "rtt" && cfg.Max > time.Duration(math.MaxInt64).Seconds() {
+		return nil, fmt.Errorf("sweep: rtt bound %g s overflows a duration", cfg.Max)
 	}
 	if cfg.RTT == 0 {
 		cfg.RTT = 50 * time.Millisecond
@@ -103,6 +109,9 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		case "rtt":
 			rtt := time.Duration(v * float64(time.Second)).Round(10 * time.Microsecond)
 			points[i] = sweepPoint{label: "rtt=" + rtt.String(), loss: cfg.Loss, rtt: rtt}
+		}
+		if i > 0 && points[i].label == points[i-1].label {
+			return nil, fmt.Errorf("sweep: points %d and %d both round to %s; widen the range or use fewer points", i-1, i, points[i].label)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,25 @@ func TestRunSweepValidation(t *testing.T) {
 	}
 	if _, err := RunSweep(SweepConfig{Axis: "loss", Min: 1e-2, Max: 1e-4}); err == nil {
 		t.Error("inverted bounds accepted")
+	}
+	for _, cfg := range []SweepConfig{
+		{Axis: "loss", Min: math.NaN(), Max: math.NaN()},
+		{Axis: "loss", Min: 1e-3, Max: math.Inf(1)},
+		{Axis: "rtt", Min: 1e-3, Max: math.Inf(1), Points: 2},
+		{Axis: "rtt", Min: 1e-3, Max: 1e12, Points: 2},
+	} {
+		if _, err := RunSweep(cfg); err == nil {
+			t.Errorf("non-finite or overflowing bounds accepted: %+v", cfg)
+		}
+	}
+	// Points whose labels collide would alias random streams.
+	for _, cfg := range []SweepConfig{
+		{Axis: "loss", Min: 1e-3, Max: 1e-3, Points: 2},
+		{Axis: "rtt", Min: 10e-3, Max: 10.001e-3, Points: 3},
+	} {
+		if _, err := RunSweep(cfg); err == nil {
+			t.Errorf("colliding point labels accepted: %+v", cfg)
+		}
 	}
 }
 

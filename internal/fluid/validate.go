@@ -291,7 +291,7 @@ func startPacketMice(s *scenarioNet, sc Scenario, mean units.ByteSize) *packetMi
 		rng:    sim.NewRand(sim.DeriveSeed("fluid/validate", sc.Name)),
 		lambda: sc.FlowsPerSecond,
 	}
-	s.net.DropHook = func(pkt *netsim.Packet, _ string) {
+	s.net.DropHook = func(pkt *netsim.Packet, _ netsim.DropSite) {
 		if pkt.Flow.Dst == "bg-server" {
 			m.dropped += pkt.Size
 		}

@@ -90,8 +90,8 @@ func (n *Network) Conservation() Conservation {
 //     are non-negative, and respect the configured capacity
 //   - fluid byte column: every port carrying fluid background traffic
 //     balances offered = delivered + dropped + queued (see fluid.go)
-//   - drop agreement: the legacy Drops map, structured DropStats, and
-//     the conservation ledger all total the same count
+//   - drop agreement: the DropStats tallies total the conservation
+//     ledger's drop counter
 //   - clock sanity: simulation time is non-negative and never regressed
 //
 // Custom nodes implementing SelfAuditor contribute their own checks.
@@ -128,15 +128,12 @@ func (n *Network) AuditInvariants() []error {
 		}
 	}
 
-	var legacy, structured uint64
-	for _, c := range n.Drops {
-		legacy += c
-	}
+	var tallied uint64
 	for _, c := range n.DropStats {
-		structured += c
+		tallied += c
 	}
-	if dropped := n.dropped.Load(); legacy != structured || legacy != dropped {
-		errs = append(errs, fmt.Errorf("drop accounting disagrees: Drops %d, DropStats %d, counted %d", legacy, structured, dropped))
+	if dropped := n.dropped.Load(); tallied != dropped {
+		errs = append(errs, fmt.Errorf("drop accounting disagrees: DropStats %d, counted %d", tallied, dropped))
 	}
 
 	if n.Sched.Now() < 0 {

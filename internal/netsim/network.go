@@ -51,27 +51,24 @@ type LinkConfig struct {
 type Network struct {
 	Sched *sim.Scheduler
 
+	seed    int64
 	rng     *rand.Rand
 	nodes   map[string]Node
 	hostSet map[string]*Host
 	links   []*Link
 	nextID  uint64
 
-	// Drops tallies every packet the network destroyed, by formatted
-	// human-readable reason. It is experiment bookkeeping, not something
-	// devices can see. DropStats is the structured equivalent,
-	// aggregatable by cause. Both are guarded by dropMu: drops are cold,
-	// and under sharded execution they arrive from several shard
-	// goroutines whose per-site increments commute.
-	Drops map[string]uint64
-
-	// DropStats tallies drops by structured (reason, location) site.
+	// DropStats tallies every packet the network destroyed by structured
+	// (reason, location) site. It is experiment bookkeeping, not something
+	// devices can see. It is guarded by dropMu: drops are cold, and under
+	// sharded execution they arrive from several shard goroutines whose
+	// per-site increments commute.
 	DropStats map[DropSite]uint64
 
 	// DropHook, when set, observes every dropped packet. Tests use it to
 	// assert on loss behaviour. It is invoked under dropMu, so hooks are
 	// serialized even under sharded execution.
-	DropHook func(pkt *Packet, reason string)
+	DropHook func(pkt *Packet, site DropSite)
 
 	dropMu sync.Mutex
 
@@ -137,10 +134,10 @@ func New(seed int64) *Network {
 func NewIsolated(seed int64) *Network {
 	n := &Network{
 		Sched:     sim.New(),
+		seed:      seed,
 		rng:       sim.NewRand(seed),
 		nodes:     make(map[string]Node),
 		hostSet:   make(map[string]*Host),
-		Drops:     make(map[string]uint64),
 		DropStats: make(map[DropSite]uint64),
 	}
 	n.ctl = &shardCtx{sched: n.Sched}
@@ -232,21 +229,11 @@ func (n *Network) register(name string, node Node) {
 // automatically; only external node types need this.
 func (n *Network) Register(name string, node Node) { n.register(name, node) }
 
-// CountDrop records a packet destroyed by a custom node, with a
-// free-text human-readable reason. It feeds the Drops map, DropStats
-// (as DropOther), the trace bus, and DropHook. Nodes with a reason the
-// DropReason enum covers should prefer CountDropReason so their drops
-// aggregate by cause.
-func (n *Network) CountDrop(pkt *Packet, reason string) {
-	n.countDrop(n.ctl, pkt, DropOther, "", reason)
-}
-
 // CountDropReason records a packet destroyed by a custom node with a
-// structured reason, location, and optional detail (see
-// DropReason.Format). When node names a registered node, the drop is
-// stamped and traced in that node's execution context — which is what
-// keeps custom middleboxes (internal/firewall) correct under sharded
-// execution.
+// structured reason, location, and optional detail for the trace event.
+// When node names a registered node, the drop is stamped and traced in
+// that node's execution context — which is what keeps custom
+// middleboxes (internal/firewall) correct under sharded execution.
 func (n *Network) CountDropReason(pkt *Packet, reason DropReason, node, detail string) {
 	sc := n.ctl
 	if nd, ok := n.nodes[node]; ok {
@@ -369,17 +356,16 @@ func (n *Network) nextPacketID() uint64 {
 // countDrop is the single drop-accounting sink. sc is the execution
 // context of the code destroying the packet: its clock stamps the trace
 // event and its capture bus receives it, so drops order correctly under
-// sharded execution. The tally maps are cold-path and commutative, so a
+// sharded execution. The tally map is cold-path and commutative, so a
 // mutex (not ordering) is all they need.
 //
-//dmzvet:coldpath drops are exceptional events outside the 0 allocs/op steady state; the legacy text key allocates by design
+//dmzvet:coldpath drops are exceptional events outside the 0 allocs/op steady state; a site's first drop inserts a map key
 func (n *Network) countDrop(sc *shardCtx, pkt *Packet, reason DropReason, node, detail string) {
-	text := reason.Format(node, detail)
+	site := DropSite{Reason: reason, Node: node}
 	n.dropMu.Lock()
-	n.Drops[text]++
-	n.DropStats[DropSite{Reason: reason, Node: node}]++
+	n.DropStats[site]++
 	if n.DropHook != nil {
-		n.DropHook(pkt, text)
+		n.DropHook(pkt, site)
 	}
 	n.dropMu.Unlock()
 	n.dropped.Add(1)
@@ -399,24 +385,6 @@ func (n *Network) countDrop(sc *shardCtx, pkt *Packet, reason DropReason, node, 
 			Detail: detail,
 		})
 	}
-}
-
-// TotalDrops sums all recorded packet drops.
-// Ledger returns the conservation counters: packets injected by hosts,
-// delivered to transport handlers, destroyed with a counted drop, and
-// currently in transit (on wires, inside middleboxes, or parked in
-// cross-shard rings awaiting a barrier drain). The cross-shard
-// equivalence suite compares ledgers across shard counts.
-func (n *Network) Ledger() (injected, delivered, dropped, transit uint64) {
-	return n.injected.Load(), n.delivered.Load(), n.dropped.Load(), n.transit.Load()
-}
-
-func (n *Network) TotalDrops() uint64 {
-	var total uint64
-	for _, c := range n.Drops {
-		total += c
-	}
-	return total
 }
 
 // DropSiteCount is one (reason, node) site's drop tally.
@@ -439,23 +407,6 @@ func (n *Network) DropSites() []DropSiteCount {
 		}
 		return out[i].Site.Node < out[j].Site.Node
 	})
-	return out
-}
-
-// DropCount is one legacy free-text drop tally.
-type DropCount struct {
-	Text  string
-	Count uint64
-}
-
-// DropList returns the legacy free-text drop tallies sorted by
-// description, for deterministic rendering of the Drops map.
-func (n *Network) DropList() []DropCount {
-	out := make([]DropCount, 0, len(n.Drops))
-	for text, c := range n.Drops {
-		out = append(out, DropCount{text, c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Text < out[j].Text })
 	return out
 }
 

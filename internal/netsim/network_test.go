@@ -81,8 +81,8 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if drops != 7 {
 		t.Errorf("queue drops = %d, want 7", drops)
 	}
-	if n.TotalDrops() != 7 {
-		t.Errorf("network drops = %d, want 7", n.TotalDrops())
+	if d := n.Conservation().Dropped; d != 7 {
+		t.Errorf("network drops = %d, want 7", d)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestNoRouteDrop(t *testing.T) {
 	// Deliberately no ComputeRoutes.
 	a.Send(pkt("a", "b", 100))
 	n.Run()
-	if n.TotalDrops() != 1 {
-		t.Errorf("drops = %d, want 1", n.TotalDrops())
+	if d := n.Conservation().Dropped; d != 1 {
+		t.Errorf("drops = %d, want 1", d)
 	}
 	if n.Path("a", "nonexistent") != nil {
 		t.Error("Path to unknown node should be nil")
@@ -439,20 +439,23 @@ func TestMaxHopsLoopProtection(t *testing.T) {
 	p := pkt("a", "ghost", 100)
 	a.Send(p)
 	n.Run()
-	if n.Drops["max hops exceeded at r1"]+n.Drops["max hops exceeded at r2"] != 1 {
-		t.Errorf("loop not caught: drops=%v", n.Drops)
+	if n.DropStats[DropSite{DropMaxHops, "r1"}]+n.DropStats[DropSite{DropMaxHops, "r2"}] != 1 {
+		t.Errorf("loop not caught: drops=%v", n.DropSites())
 	}
 }
 
 func TestDropHook(t *testing.T) {
 	n := New(1)
 	a := n.NewHost("a")
-	var reasons []string
-	n.DropHook = func(_ *Packet, reason string) { reasons = append(reasons, reason) }
+	var sites []DropSite
+	n.DropHook = func(_ *Packet, site DropSite) { sites = append(sites, site) }
 	a.Send(pkt("a", "nowhere", 100))
 	n.Run()
-	if len(reasons) != 1 {
-		t.Fatalf("hook calls = %d, want 1", len(reasons))
+	if len(sites) != 1 {
+		t.Fatalf("hook calls = %d, want 1", len(sites))
+	}
+	if want := (DropSite{DropNoLocalRoute, "a"}); sites[0] != want {
+		t.Errorf("hook site = %v, want %v", sites[0], want)
 	}
 }
 

@@ -181,12 +181,13 @@ func (n *Network) ApplyShards(shards []ShardDef, cuts []CutDef, controlBus *tele
 	}
 
 	// Shard-count-invariant wire-loss randomness: each port draws from a
-	// stream derived from (link creation index, direction) instead of the
-	// network's shared stream, whose draw order would depend on how the
-	// partition interleaves links.
+	// stream derived from (network seed, link creation index, direction)
+	// instead of the network's shared stream, whose draw order would
+	// depend on how the partition interleaves links.
+	seed := strconv.FormatInt(n.seed, 10)
 	for li, l := range n.links {
-		l.A.lossRNG = sim.NewRand(sim.DeriveSeed("netsim/wire", strconv.Itoa(li), "a"))
-		l.B.lossRNG = sim.NewRand(sim.DeriveSeed("netsim/wire", strconv.Itoa(li), "b"))
+		l.A.lossRNG = sim.NewRand(sim.DeriveSeed("netsim/wire", seed, strconv.Itoa(li), "a"))
+		l.B.lossRNG = sim.NewRand(sim.DeriveSeed("netsim/wire", seed, strconv.Itoa(li), "b"))
 	}
 
 	for _, c := range cuts {

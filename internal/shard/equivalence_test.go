@@ -160,7 +160,7 @@ func TestEquivalenceFaultScenario(t *testing.T) {
 type traceRun struct {
 	events  []telemetry.Event
 	metrics string
-	ledger  [4]uint64
+	ledger  netsim.Conservation
 	result  string
 }
 
@@ -185,8 +185,7 @@ func captureRun(t *testing.T, shards int) traceRun {
 		for _, err := range d.Net.AuditInvariants() {
 			t.Errorf("shards=%d: audit: %v", shards, err)
 		}
-		inj, del, drop, transit := d.Net.Ledger()
-		out.ledger = [4]uint64{inj, del, drop, transit}
+		out.ledger = d.Net.Conservation()
 		snap := tele.Registry.Snapshot(d.Net.Sched.Now())
 		for _, s := range snap.Samples {
 			// Partition-dependent diagnostics are excluded from golden
@@ -241,9 +240,8 @@ func TestEquivalenceTraceGolden(t *testing.T) {
 			t.Errorf("transfer result diverges: shards=1 %q, shards=%d %q", ref.result, n, run.result)
 		}
 	}
-	if ref.ledger[0] != ref.ledger[1]+ref.ledger[2]+ref.ledger[3] {
-		t.Errorf("ledger does not balance: injected %d != delivered %d + dropped %d + transit %d",
-			ref.ledger[0], ref.ledger[1], ref.ledger[2], ref.ledger[3])
+	if !ref.ledger.Balanced() {
+		t.Errorf("ledger does not balance: %v", ref.ledger)
 	}
 }
 

@@ -68,3 +68,49 @@ func TestEngineDeliversAcrossCut(t *testing.T) {
 		}
 	}
 }
+
+// wireLossPattern sends 200 numbered packets across buildPair's WAN,
+// made lossy, under the given shard count and returns which of them
+// arrived, as a string of 0/1 digits.
+func wireLossPattern(t *testing.T, seed int64, shards int) string {
+	t.Helper()
+	n, a, b := buildPair(t, seed)
+	n.LinkBetween("s1", "s2").Loss = netsim.RandomLoss{P: 0.3}
+	arrived := make([]byte, 200)
+	for i := range arrived {
+		arrived[i] = '0'
+	}
+	b.Bind(netsim.ProtoUDP, 9, netsim.HandlerFunc(func(pkt *netsim.Packet) {
+		arrived[pkt.Seq] = '1'
+	}))
+	if _, err := Install(n, shards); err != nil {
+		t.Fatal(err)
+	}
+	for i := range arrived {
+		pkt := n.NewPacket()
+		pkt.Flow = netsim.FlowKey{Src: "a", Dst: "b", Proto: netsim.ProtoUDP, DstPort: 9}
+		pkt.Size = 1500
+		pkt.Seq = int64(i)
+		a.Send(pkt)
+	}
+	n.RunFor(time.Second)
+	for _, err := range n.AuditInvariants() {
+		t.Errorf("seed %d shards=%d: audit: %v", seed, shards, err)
+	}
+	return string(arrived)
+}
+
+// TestShardedWireLossFollowsSeed: each port's wire-loss stream derives
+// from the network seed, so two seeds drop different packets, while one
+// seed drops the same packets at every shard count.
+func TestShardedWireLossFollowsSeed(t *testing.T) {
+	ref := wireLossPattern(t, 1, 1)
+	if other := wireLossPattern(t, 2, 1); other == ref {
+		t.Errorf("seeds 1 and 2 lost the same packets: %s", ref)
+	}
+	for _, shards := range []int{2, 4} {
+		if got := wireLossPattern(t, 1, shards); got != ref {
+			t.Errorf("shards=%d loses different packets than shards=1:\n%s\n%s", shards, got, ref)
+		}
+	}
+}

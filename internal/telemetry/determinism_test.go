@@ -144,14 +144,15 @@ func TestDropEventsCarryStructuredReason(t *testing.T) {
 	if !sawOverflow {
 		t.Error("no queue-overflow drops recorded")
 	}
-	// The structured stats must agree with the legacy string map.
+	// Every overflow drop happened at r1, the only congested egress.
 	var structured uint64
 	for site, cnt := range n.DropStats {
 		if site.Reason == netsim.DropQueueOverflow {
 			structured += cnt
 		}
 	}
-	if structured == 0 || n.Drops["queue overflow at r1"] != structured {
-		t.Errorf("DropStats overflow=%d, Drops[legacy]=%d", structured, n.Drops["queue overflow at r1"])
+	atR1 := n.DropStats[netsim.DropSite{Reason: netsim.DropQueueOverflow, Node: "r1"}]
+	if structured == 0 || atR1 != structured {
+		t.Errorf("DropStats overflow=%d, at r1=%d", structured, atR1)
 	}
 }

@@ -480,6 +480,12 @@ func (s *Sender) handleNewAck(ack int64) {
 	}
 
 	s.sndUna = ack
+	// After an RTO rewinds sndNxt, a late ACK for the original
+	// transmissions can pass it: resume from the ACK instead of resending
+	// acknowledged data.
+	if s.sndNxt < s.sndUna {
+		s.sndNxt = s.sndUna
+	}
 	if s.sackOK {
 		s.sacked.trimBelow(ack)
 		for seq := range s.rexmit {
@@ -791,7 +797,7 @@ func (s *Sender) trySend() {
 		}
 		burst++
 	}
-	if s.sndNxt > s.sndUna && !s.rtoTimer.Pending() {
+	if s.maxSent > s.sndUna && !s.rtoTimer.Pending() {
 		s.armRTO()
 	}
 }
@@ -868,15 +874,18 @@ func (s *Sender) armRTO() {
 	s.rtoTimer = s.sched().AfterCall(tagSender, s.rto, onRTOCall, s, nil)
 }
 
+// resetRTO restarts the retransmission timer while any sent data is
+// unacknowledged. It tests maxSent, not sndNxt: after an RTO's go-back-N
+// rewinds sndNxt, data sent before it is still outstanding.
 func (s *Sender) resetRTO() {
 	s.rtoTimer.Stop()
-	if s.sndNxt > s.sndUna {
+	if s.maxSent > s.sndUna {
 		s.armRTO()
 	}
 }
 
 func (s *Sender) onRTO() {
-	if s.done || s.sndUna >= s.sndNxt {
+	if s.done || s.sndUna >= s.maxSent {
 		return
 	}
 	s.stats.RTOs++

@@ -223,6 +223,42 @@ func TestRTOOnTotalBlackout(t *testing.T) {
 	}
 }
 
+// TestLateAckAfterRTODoesNotStall: a segment and its fast retransmit are
+// lost, so an RTO rewinds sndNxt; the RTO retransmission fills the
+// receiver's hole and the cumulative ACK jumps past sndNxt. The sender
+// must resume from the ACK, not resend acknowledged data with no RTO
+// armed. Here every resend of already-received data is lost, as it can
+// be under congestion, so a sender that resends it stalls forever.
+func TestLateAckAfterRTODoesNotStall(t *testing.T) {
+	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	srv := NewServer(s, 5001, Tuned())
+	lost, drops := int64(-1), 0
+	r1 := n.Node("r1").(*netsim.Device)
+	r1.AddFilter(dropOnce{when: func(p *netsim.Packet) bool {
+		if !p.IsTCPData(HeaderSize) {
+			return false
+		}
+		if lost < 0 && p.Seq > 1_000_000 {
+			lost = p.Seq
+		}
+		if p.Seq == lost && drops < 2 {
+			drops++
+			return true
+		}
+		end := p.Seq + int64(p.Size-HeaderSize)
+		return end <= int64(srv.Received())
+	}})
+	var done *Stats
+	Dial(c, srv, 50*units.MB, Tuned(), func(st *Stats) { done = st })
+	n.RunFor(30 * time.Second)
+	if done == nil {
+		t.Fatalf("transfer stalled at %v of 50MB", srv.Received())
+	}
+	if done.RTOs == 0 {
+		t.Error("losing the fast retransmit should have forced an RTO")
+	}
+}
+
 func TestRandomLossTracksMathis(t *testing.T) {
 	// With 1e-4 random loss at 20 ms RTT, long-run throughput must land
 	// within a factor of ~2 of the Mathis bound — and far below the path

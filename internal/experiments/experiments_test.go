@@ -21,13 +21,11 @@ func skipIfShort(t *testing.T) {
 // then checks the entry's paper claims. An entry without a golden or
 // without claims fails.
 func TestExperiments(t *testing.T) {
+	registered := make(map[string]bool, len(Registry))
 	for i, e := range Registry {
 		if i > 0 && e.Name <= Registry[i-1].Name {
 			t.Errorf("Registry is not sorted by unique name at %q", e.Name)
 		}
-	}
-	registered := make(map[string]bool, len(Registry))
-	for _, e := range Registry {
 		registered[e.Name] = true
 	}
 	for name := range claims {
@@ -68,7 +66,7 @@ func as[R Result](check func(*testing.T, R)) func(*testing.T, Result) {
 
 // claims holds each registry entry's assertions, keyed by name.
 var claims = map[string]claim{
-	"audit": {slow: false, check: as(func(t *testing.T, r *AuditResult) {
+	"audit": {check: as(func(t *testing.T, r *AuditResult) {
 		if len(r.Rows) != 2 {
 			t.Fatalf("rows = %d", len(r.Rows))
 		}
@@ -157,7 +155,7 @@ var claims = map[string]claim{
 			t.Error("render missing content")
 		}
 	})},
-	"fig4": {slow: false, check: as(func(t *testing.T, r *Fig4Result) {
+	"fig4": {check: as(func(t *testing.T, r *Fig4Result) {
 		if r.DTNRate <= 4*r.LoginRate {
 			t.Errorf("DTN %v vs login %v: want dramatic advantage", r.DTNRate, r.LoginRate)
 		}
@@ -202,7 +200,7 @@ var claims = map[string]claim{
 			t.Error("render missing content")
 		}
 	})},
-	"fig8": {slow: false, check: as(func(t *testing.T, r *Fig8Result) {
+	"fig8": {check: as(func(t *testing.T, r *Fig8Result) {
 		if r.InFactor() < 4 {
 			t.Errorf("inbound improvement %.1fx, paper ~5x", r.InFactor())
 		}
